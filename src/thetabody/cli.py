@@ -509,7 +509,7 @@ def cmd_certify(args) -> int:
         facets = enumerate_facets(pts)
         _require(0 <= args.facet < len(facets), f"facet index out of range (0..{len(facets) - 1})")
         l = _facet_poly(facets[args.facet], problem.nvars)
-        c = [-n for n in facets[args.facet].normal]
+        c = list(facets[args.facet].normal)
         lam = facets[args.facet].offset
     else:
         _require(args.objective is not None and args.lam is not None,

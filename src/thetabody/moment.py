@@ -67,6 +67,18 @@ class MomentTemplate:
                 a[j, i] = float(c)
         return a
 
+    def coefficient_matrices(self) -> np.ndarray:
+        """Every coefficient matrix at once, shape (nvars_y, dim, dim).
+
+        Slice l equals coefficient_matrix(l); the entries are scanned once
+        instead of once per coordinate.
+        """
+        out = np.zeros((self.nvars_y, self.dim, self.dim))
+        for (i, j), form in self.entries.items():
+            for l, c in form.items():
+                out[l, i, j] = out[l, j, i] = float(c)
+        return out
+
     def substituted(
         self,
         mapping: Mapping[int, Coords],

@@ -144,11 +144,6 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
         yield Monomial(exps)
 
 
-def monomials_up_to_degree(nvars: int, degree: int) -> Iterator[Monomial]:
-    for d in range(degree + 1):
-        yield from monomials_of_degree(nvars, d)
-
-
 def _coerce_coeff(c) -> Fraction:
     if isinstance(c, Fraction):
         return c

@@ -130,13 +130,6 @@ class ThetaBasis:
             count += 1
         return count
 
-    def degree_index(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        max_deg = self.elements[-1].degree
-        for k in range(max_deg + 1):
-            out[k] = self.size_at(k)
-        return out
-
 
 class QuotientOracle:
     """Common surface over the per-ideal implementations.
@@ -179,9 +172,6 @@ class QuotientOracle:
         if idx is not None:
             return {idx: Fraction(1)}
         return dict(self.degenerate_coords[i])
-
-    def is_degenerate(self) -> bool:
-        return bool(self.degenerate_coords)
 
     def product_coords(self, i: int, j: int) -> Coords:
         """Coordinates of f_i * f_j over the basis (symmetric in i, j)."""

@@ -7,11 +7,18 @@ Pinned coordinates are substituted into the map before solving.
 
 The algorithm is infeasible-start path following with Nesterov-Todd scaling;
 a Mehrotra-style affine predictor step fixes the adaptive centering weight of
-the actual step.  The Schur complement is formed
-densely and factored with a small diagonal regularization; because its
-condition number grows like the square of the centrality parameter's inverse,
-the direction computation runs in extended precision (numpy longdouble) so
-that dual residuals keep contracting all the way to the requested tolerance.
+the actual step.  The Schur complement H_kl = <F_k, W^-1 F_l W^-1> is formed
+densely in float64 with batched BLAS products and factored by LAPACK Cholesky
+with a small diagonal regularization.  Its condition number grows like the
+square of the centrality parameter's inverse, and a direction computed wholly
+in float64 leaves the dual residual stalled above the tolerance (near 2e-8 on
+the level-1 7-cycle stable-set bound, which ends NumericalTrouble).  So the
+right-hand sides and the primal and dual directions are accumulated in
+extended precision (numpy longdouble), and each Schur solve gets exactly one
+sweep of mixed-precision iterative refinement: the residual of the
+regularized system is evaluated in extended precision by applying the
+operator to the float64 solution without forming H, O(d^3 + m d^2) against
+O(m d^3 + m^2 d^2) for forming it, and the correction reuses the factor.
 At convergence checks the dual iterate is additionally projected onto the
 exact dual-feasibility subspace, which is a fixed well-conditioned system.
 Everything is deterministic: identical inputs produce identical iterates.
@@ -113,11 +120,11 @@ class _Compiled:
         t = problem.template
         d = t.dim
         free = [l for l in range(t.nvars_y) if l not in problem.fixed]
-        basis_mats = {l: t.coefficient_matrix(l) for l in range(t.nvars_y)}
+        basis_mats = t.coefficient_matrices()
         F0 = np.zeros((d, d))
         for l, v in problem.fixed.items():
             F0 += float(v) * basis_mats[l]
-        Fs = np.array([basis_mats[l] for l in free]).reshape(len(free), d, d)
+        Fs = basis_mats[free]
         sign = 1.0 if problem.sense == "max" else -1.0
         b = np.array([sign * float(problem.objective.get(l, 0.0)) for l in free])
         self.free = free
@@ -162,37 +169,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _chol_ld(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor in extended precision (right-looking)."""
-    a = np.array(a, dtype=_LD, copy=True)
-    m = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(m):
-        pivot = a[j, j]
-        if pivot <= 0:
-            raise np.linalg.LinAlgError("matrix not positive definite")
-        root = np.sqrt(pivot)
-        L[j:, j] = a[j:, j] / root
-        if j + 1 < m:
-            a[j + 1 :, j + 1 :] -= np.outer(L[j + 1 :, j], L[j + 1 :, j])
-    return L
-
-
-def _tri_solve_ld(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b by substitution, in extended precision."""
-    m = L.shape[0]
-    x = np.array(b, dtype=_LD, copy=True)
-    for j in range(m):
-        x[j] /= L[j, j]
-        if j + 1 < m:
-            x[j + 1 :] -= x[j] * L[j + 1 :, j]
-    for j in range(m - 1, -1, -1):
-        x[j] /= L[j, j]
-        if j:
-            x[:j] -= x[j] * L[j, :j]
-    return x
-
-
 def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
     """Largest a with X + a*dX still positive definite (inf if all a work)."""
     L = np.linalg.cholesky(X)
@@ -217,8 +193,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
         return _CoreResult(status, np.zeros(0), np.zeros((d, d)), 0.0, 0.0, 0.0, 0.0, 0, [])
 
     Fflat = Fs.reshape(m, d * d)
-    Fs_ld = Fs.astype(_LD)
-    Fflat_ld = Fs_ld.reshape(m, d * d)
+    Fflat_ld = Fflat.astype(_LD)
     gram = Fflat @ Fflat.T
     gram_cho = np.linalg.cholesky(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
 
@@ -315,32 +290,42 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
             Tinv = np.linalg.inv(T)
         except np.linalg.LinAlgError:
             break
-        Winv = (Tinv.T @ Tinv).astype(_LD)
+        Winv = Tinv.T @ Tinv
+        Winv_ld = Winv.astype(_LD)
         Lz_inv = np.linalg.inv(Lz)
         Zinv = (Lz_inv.T @ Lz_inv).astype(_LD)
         Rp_ld = Rp.astype(_LD)
         rd_ld = rd.astype(_LD)
 
-        G = np.einsum("ab,lbc,cd->lad", Winv, Fs_ld, Winv)
-        H = Fflat_ld @ G.reshape(m, d * d).T
+        G = Winv @ Fs @ Winv
+        H = Fflat @ G.reshape(m, d * d).T
         H = (H + H.T) / 2
-        reg = _LD(opts.schur_reg) * max(_LD(1.0), np.trace(H) / m)
+        reg = opts.schur_reg * max(1.0, np.trace(H) / m)
         cho = None
         for bump in range(6):
+            shift = reg * 10.0**bump
             try:
-                cho = _chol_ld(H + reg * _LD(10.0) ** bump * np.eye(m, dtype=_LD))
+                cho = np.linalg.cholesky(H + shift * np.eye(m))
                 break
             except np.linalg.LinAlgError:
                 continue
         if cho is None:
             break
 
+        def schur_solve(r):
+            return np.linalg.solve(cho.T, np.linalg.solve(cho, r))
+
         def directions(Rc_ld):
-            rhs_mat = Winv @ (Rc_ld - Rp_ld) @ Winv
+            rhs_mat = Winv_ld @ (Rc_ld - Rp_ld) @ Winv_ld
             rhs = Fflat_ld @ rhs_mat.reshape(d * d) - rd_ld
-            dy = _tri_solve_ld(cho, rhs)
-            dS = np.tensordot(dy, Fs_ld, axes=1) + Rp_ld
-            dZ = Winv @ (Rc_ld - dS) @ Winv
+            dy = schur_solve(rhs.astype(np.float64)).astype(_LD)
+            # one refinement sweep against the shifted Schur operator,
+            # applied in extended precision without forming it
+            dM = Winv_ld @ (dy @ Fflat_ld).reshape(d, d) @ Winv_ld
+            resid = rhs - Fflat_ld @ dM.reshape(d * d) - _LD(shift) * dy
+            dy = dy + schur_solve(resid.astype(np.float64))
+            dS = (dy @ Fflat_ld).reshape(d, d) + Rp_ld
+            dZ = Winv_ld @ (Rc_ld - dS) @ Winv_ld
             dS = (dS + dS.T) / 2
             dZ = (dZ + dZ.T) / 2
             return (

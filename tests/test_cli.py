@@ -5,6 +5,8 @@ import math
 import pytest
 
 from thetabody.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main
+from thetabody.exactness import enumerate_facets
+from thetabody.polycore import parse_polynomial
 
 from conftest import CARDIOID_TEXT, cardioid_point
 
@@ -227,6 +229,25 @@ class TestCertify:
 
     def test_facet_out_of_range(self, pentagon_file):
         assert main(["certify", pentagon_file, "--facet", "99"]) == EXIT_INPUT
+
+    def test_point_set_facets_certify_offset_minus_normal(self, tmp_path):
+        # points files have no structural squares, so every facet goes
+        # through the SDP certificate with objective c = normal
+        cube = [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+        f = write_json(tmp_path / "cube3.json", {"kind": "points", "points": cube})
+        facets = enumerate_facets(cube)
+        assert len(facets) == 6
+        targets = set()
+        for i, facet in enumerate(facets):
+            out = tmp_path / f"cert{i}.json"
+            assert main(["certify", f, "--facet", str(i), "--json", str(out)]) == EXIT_OK
+            report = json.loads(out.read_text())
+            assert report["verified"] is True
+            target = parse_polynomial(report["target"], 3)
+            for p in cube:
+                assert target.evaluate(p) == facet.value(p)
+            targets.add(report["target"])
+        assert targets == {"x1", "x2", "x3", "-x1 + 1", "-x2 + 1", "-x3 + 1"}
 
 
 class TestConfig:

@@ -117,6 +117,19 @@ class TestPentagonTemplates:
             assert t.entry(i, j) == f
 
 
+class TestCoefficientMatrices:
+    def test_one_pass_matches_per_coordinate(self, pentagon_oracle_k2, cardioid_oracle_k2):
+        # the cardioid template carries non-unit rational coefficients
+        for t in (
+            build_moment_template(pentagon_oracle_k2, 2),
+            build_moment_template(cardioid_oracle_k2, 2),
+        ):
+            mats = t.coefficient_matrices()
+            assert mats.shape == (t.nvars_y, t.dim, t.dim)
+            for l in range(t.nvars_y):
+                assert np.array_equal(mats[l], t.coefficient_matrix(l))
+
+
 class TestCardioidTemplate:
     def test_linearized_quartic_entry(self, cardioid_oracle_k2):
         t = build_moment_template(cardioid_oracle_k2, 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thetabody.moment import MomentTemplate, barycenter_vector, build_moment_template
-from thetabody.quotient import basis_cut_ideal, cycle_graph
+from thetabody.quotient import basis_cut_ideal, basis_stable_set, cycle_graph
 from thetabody.sdp import (
     SdpOptions,
     SdpProblem,
@@ -212,3 +212,18 @@ class TestKktAcrossFixtures:
             assert sol.primal_residual <= 1e-8
             assert sol.dual_residual <= 1e-8
             assert abs(sol.gap) <= 1e-8
+
+
+class TestLargestGraphSize:
+    def test_nine_cycle_level2(self):
+        # d = 37, m = 75: the largest Schur complement of the graph benchmark
+        t = build_moment_template(basis_stable_set(cycle_graph(9), 2), 2)
+        prob = SdpProblem(t, {i: 1.0 for i in range(1, 10)}, {0: 1.0})
+        assert (t.dim, t.nvars_y - 1) == (37, 75)
+        sol = solve(prob)
+        assert sol.status == SdpStatus.OPTIMAL
+        assert abs(sol.value - 4.0) <= 1e-6
+        assert sol.primal_residual <= 1e-8
+        assert sol.dual_residual <= 1e-8
+        assert abs(sol.gap) <= 1e-8
+        assert solve(prob).iterates == sol.iterates
