@@ -12,8 +12,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .exactness import CapExceededError, enumerate_facets, level_report
@@ -196,14 +196,6 @@ def make_options(args, config: dict) -> SdpOptions:
     )
 
 
-def _jobs(args, config: dict) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return args.jobs
-    if "jobs" in config:
-        return int(config["jobs"])
-    return os.cpu_count() or 1
-
-
 def _write_json(path: str | None, doc: dict) -> None:
     if not path:
         return
@@ -248,6 +240,7 @@ def cmd_solve(args) -> int:
         "gap": res.solution.gap,
         "primal_residual": res.solution.primal_residual,
         "dual_residual": res.solution.dual_residual,
+        "phases": [asdict(ph) for ph in res.solution.phases],
     }
     if kind == "maxcut" and status == SdpStatus.OPTIMAL:
         report["cut_bound"] = (problem.nvars - value) / 2.0
@@ -306,19 +299,19 @@ def cmd_trace(args) -> int:
     config = read_config(args.config)
     doc = load_problem_file(args.file)
     opts = make_options(args, config)
-    jobs = _jobs(args, config)
     problem = build_theta_problem(doc)
     _require(problem.nvars == 2, "tracing needs a 2-variable problem")
     samples = [(float(x), float(y)) for x, y in doc.get("samples", [])]
     num = args.num_dirs
     elements: list[str] = []
     extent: list[tuple[float, float]] = list(samples)
+    n_failed = 0
     if args.contour:
         dirs = [
             (math.cos(2 * math.pi * j / num), math.sin(2 * math.pi * j / num))
             for j in range(num)
         ]
-        lines = support_contour(problem, dirs, opts, jobs)
+        lines = support_contour(problem, dirs, opts)
         rows = []
         for j, line in enumerate(lines):
             theta = 2 * math.pi * j / num
@@ -343,7 +336,7 @@ def cmd_trace(args) -> int:
             )
             extent.append((px, py))
     else:
-        trace = trace_boundary_2d(problem, num, opts, jobs)
+        trace = trace_boundary_2d(problem, num, opts)
         if args.csv:
             with open(args.csv, "w", newline="") as fh:
                 w = csv.writer(fh)
@@ -351,16 +344,20 @@ def cmd_trace(args) -> int:
                 for pt in trace:
                     if pt.unbounded:
                         w.writerow([f"{pt.theta:.9g}", "inf", "inf", "inf"])
+                    elif pt.t is None:
+                        # the ray ended without a verdict (NumericalTrouble)
+                        w.writerow([f"{pt.theta:.9g}", "nan", "nan", "nan"])
                     else:
                         w.writerow(
                             [f"{pt.theta:.9g}", f"{pt.t:.9g}", f"{pt.x:.9g}", f"{pt.y:.9g}"]
                         )
-        finite_pts = [(pt.x, pt.y) for pt in trace if not pt.unbounded and pt.t is not None]
+        finite_pts = [(pt.x, pt.y) for pt in trace if pt.t is not None]
         if finite_pts:
             elements.append(_polyline(finite_pts + finite_pts[:1], "#1f6fb2", 0.02))
             extent.extend(finite_pts)
         n_unbounded = sum(1 for pt in trace if pt.unbounded)
-        print(f"traced {len(trace)} directions, {n_unbounded} unbounded")
+        n_failed = sum(1 for pt in trace if pt.t is None and not pt.unbounded)
+        print(f"traced {len(trace)} directions, {n_unbounded} unbounded, {n_failed} NumericalTrouble")
     if samples:
         elements.insert(0, _polygon(samples, "#c23b22", 0.02))
     if args.svg:
@@ -378,7 +375,7 @@ def cmd_trace(args) -> int:
             for el in elements:
                 fh.write(el + "\n")
             fh.write("</svg>\n")
-    return EXIT_OK
+    return EXIT_NUMERICAL if n_failed else EXIT_OK
 
 
 def cmd_exactness(args) -> int:
@@ -567,7 +564,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--csv", help="CSV output path")
     p_trace.add_argument("--svg", help="SVG output path")
     p_trace.add_argument("--contour", action="store_true", help="support lines instead of rays")
-    p_trace.add_argument("--jobs", type=int)
+    p_trace.add_argument("--jobs", type=int, help="accepted and ignored: directions are solved serially")
     p_trace.set_defaults(func=cmd_trace)
 
     p_exact = sub.add_parser("exactness", help="facet levels of a finite point set")

@@ -22,6 +22,27 @@ O(m d^3 + m^2 d^2) for forming it, and the correction reuses the factor.
 At convergence checks the dual iterate is additionally projected onto the
 exact dual-feasibility subspace, which is a fixed well-conditioned system.
 Everything is deterministic: identical inputs produce identical iterates.
+
+Status classification.  Optimal rests on the gap and both residuals meeting
+their tolerances.  Every Unbounded verdict rests on a verified certificate:
+a point of the cap slice (feasible points with objective 2 * unbounded_cap)
+whose smallest eigenvalue, computed directly, is at least 1e-7 of the slice
+data's scale; or an improving recession ray from a converged solve with
+objective above 1/2; or, inside the main solve, an iterate past the
+objective cap with a verified eigenvalue margin.  The main solve carries a
+divergence probe: every ten iterations it compares the iterate with the one
+ten back, and when the iterate is primal feasible, the gap is outside its
+tolerance and neither the gap nor the dual residual has fallen below a
+quarter, and the objective has passed the earlier dual objective, it runs the
+cap-slice test at once.  A certificate ends the solve Unbounded; otherwise
+the solve goes on unchanged and the test is not repeated, since it does not
+depend on the iterate.  Sub-solves that seek a witness (the cap slice's and
+the classification's phase 1) stop at the first iterate whose margin is
+verified.  A main solve that ends without a verdict is classified cheapest
+first: its best iterate, when verified primal feasible, stands in for phase 1
+(whose converged negative t is the Infeasible verdict); then the cap slice
+unless the probe already ran it; then the recession ray; NumericalTrouble
+when none of them decides.  Each core solve leaves a PhaseRecord.
 """
 
 from __future__ import annotations
@@ -36,6 +57,16 @@ import numpy as np
 from .moment import MomentTemplate, MomentVector
 
 _LD = np.longdouble
+
+# Divergence probe of the main solve: every _PROBE_EVERY iterations the
+# iterate is compared with the one _PROBE_EVERY iterations back; "shrinking"
+# means falling below _PROBE_SHRINK times the earlier value.  A converging
+# interior-point solve gains more than that in ten iterations.
+_PROBE_EVERY = 10
+_PROBE_SHRINK = 0.25
+# the cap-slice certificate: a slice point whose smallest eigenvalue is at
+# least this fraction of the slice data's scale
+_SLICE_MARGIN = 1e-7
 
 
 class SdpStatus(enum.Enum):
@@ -63,6 +94,30 @@ class IterateRecord:
     gap: float
     primal_residual: float
     dual_residual: float
+
+
+@dataclass(frozen=True)
+class PhaseRecord:
+    """One core interior-point solve run by solve() or phase1_interior().
+
+    role is "main", "probe" (the cap-slice test run while the main solve
+    shows the divergence signature), "phase1", "recession" or "cap_slice".
+    stop is why it ended: "converged", "dual_projection" (converged after
+    snapping the dual iterate onto the dual-feasibility subspace),
+    "objective_cap", "probe" (the divergence probe certified), "witness"
+    (first verified witness), "max_iter", "factorization", "non_finite" or
+    "no_free_coordinates".  margin is what a classification solve is judged
+    on: for phase1 its t (a lower bound on the smallest eigenvalue of M(y);
+    Optimal and below -feas_tol means infeasible), for recession the ray's objective
+    (Optimal and above 0.5 certifies), for probe and cap_slice the verified
+    smallest eigenvalue of the slice point over the slice scale (at least
+    1e-7 certifies); None for main.
+    """
+
+    role: str
+    iterations: int
+    stop: str
+    margin: float | None = None
 
 
 @dataclass
@@ -103,6 +158,7 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     iterates: list[IterateRecord] = field(default_factory=list)
+    phases: list[PhaseRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -153,7 +209,7 @@ class _Compiled:
 
 
 class _CoreResult:
-    def __init__(self, status, y, Z, pobj, gap, pr, dr, iterations, iterates):
+    def __init__(self, status, y, Z, pobj, gap, pr, dr, iterations, iterates, stop, probed=False):
         self.status = status
         self.y = y
         self.Z = Z
@@ -163,6 +219,8 @@ class _CoreResult:
         self.dr = dr
         self.iterations = iterations
         self.iterates = iterates
+        self.stop = stop
+        self.probed = probed
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -184,13 +242,23 @@ def _feasibility_margin(F0, Fs, yfree) -> float:
     return float(np.linalg.eigvalsh(_sym(M))[0])
 
 
-def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
+def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreResult:
+    """Maximize b.y subject to F0 + sum y_l F_l >= 0.
+
+    probe, when given, is called at most once, the first time the iterates
+    show the divergence signature, and returns True when it certifies
+    unboundedness; otherwise the solve goes on unchanged.  witness, when
+    given, is called on every iterate y, and the solve stops at the first
+    one for which it returns True.
+    """
     d = F0.shape[0]
     m = len(Fs)
     if m == 0:
         lam = float(np.linalg.eigvalsh(_sym(F0))[0])
         status = SdpStatus.OPTIMAL if lam >= -opts.feas_tol else SdpStatus.INFEASIBLE
-        return _CoreResult(status, np.zeros(0), np.zeros((d, d)), 0.0, 0.0, 0.0, 0.0, 0, [])
+        return _CoreResult(
+            status, np.zeros(0), np.zeros((d, d)), 0.0, 0.0, 0.0, 0.0, 0, [], "no_free_coordinates"
+        )
 
     Fflat = Fs.reshape(m, d * d)
     Fflat_ld = Fflat.astype(_LD)
@@ -218,6 +286,8 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
     best = None
     best_merit = math.inf
     status = SdpStatus.NUMERICAL_TROUBLE
+    stop = "max_iter"
+    probed = False
     it = 0
     while it < opts.max_iter:
         it += 1
@@ -232,6 +302,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
         iterates.append(IterateRecord(it, pobj, dobj, gap, pr, dr))
 
         if not np.isfinite(pobj) or not np.isfinite(gap):
+            stop = "non_finite"
             break
         merit = max(pr, dr, abs(gap) / max(1.0, abs(pobj)))
         if merit < best_merit:
@@ -242,6 +313,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
         feas_ok = pr <= opts.feas_tol and dr <= opts.feas_tol
         if gap_ok and feas_ok:
             status = SdpStatus.OPTIMAL
+            stop = "converged"
             best = (y.copy(), Z.copy(), pobj, gap, pr, dr)
             break
         if gap_ok and pr <= opts.feas_tol:
@@ -271,12 +343,41 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
                 best = (y.copy(), Zb, pobj, gap_b, pr, dr_b)
                 break
             if status == SdpStatus.OPTIMAL:
+                stop = "dual_projection"
                 break
         if pobj > opts.unbounded_cap and _feasibility_margin(F0, Fs, y) >= -1e-6 * eta:
             status = SdpStatus.UNBOUNDED
+            stop = "objective_cap"
             best = (y.copy(), Z.copy(), pobj, gap, pr, dr)
             break
+        if witness is not None and witness(y):
+            stop = "witness"
+            best = (y.copy(), Z.copy(), pobj, gap, pr, dr)
+            break
+        if probe is not None and it > _PROBE_EVERY and it % _PROBE_EVERY == 0:
+            # divergence: primal feasible, neither the gap nor the dual
+            # residual contracting, and the objective risen past the bound
+            # the earlier dual iterate gave (which a nearly dual-feasible
+            # iterate of a bounded problem does not allow)
+            past = iterates[-1 - _PROBE_EVERY]
+            if (
+                pr <= opts.feas_tol
+                and not gap_ok
+                and gap > _PROBE_SHRINK * past.gap
+                and dr > _PROBE_SHRINK * past.dual_residual
+                and pobj > past.dual_obj
+            ):
+                probed = True
+                if probe():
+                    status = SdpStatus.UNBOUNDED
+                    stop = "probe"
+                    best = (y.copy(), Z.copy(), pobj, gap, pr, dr)
+                    break
+                # the probe's test does not depend on the iterate: it is
+                # not repeated
+                probe = None
 
+        stop = "factorization"  # every break until the step is taken
         try:
             Ls = np.linalg.cholesky(S)
             Lz = np.linalg.cholesky(Z)
@@ -353,6 +454,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
             ad = min(1.0, opts.step_frac * _max_step(Z, dZ))
         except np.linalg.LinAlgError:
             break
+        stop = "max_iter"
 
         y = y + ap * dy
         S = _sym(S + ap * dS)
@@ -361,7 +463,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions) -> _CoreResult:
     if best is None:
         best = (y.copy(), Z.copy(), float(b @ y), math.inf, math.inf, math.inf)
     yb, Zb, pobj, gap, pr, dr = best
-    return _CoreResult(status, yb, Zb, pobj, gap, pr, dr, it, iterates)
+    return _CoreResult(status, yb, Zb, pobj, gap, pr, dr, it, iterates, stop, probed)
 
 
 def _augment_phase1(F0, Fs, cap: float):
@@ -394,7 +496,9 @@ def _augment_recession(Fs, b):
     return F0a, Fsa, b.copy()
 
 
-def _cap_slice_feasible(comp: "_Compiled", opts: SdpOptions) -> bool:
+def _cap_slice_feasible(
+    comp: "_Compiled", opts: SdpOptions, role: str, phases: list[PhaseRecord]
+) -> bool:
     """True when a feasible point with objective 2 * unbounded_cap exists.
 
     Certifies unboundedness in the weak cases where the objective grows along
@@ -402,7 +506,9 @@ def _cap_slice_feasible(comp: "_Compiled", opts: SdpOptions) -> bool:
     rescaled using the graded structure of the moment template (coordinate l
     scales like C^deg(l), rows are rescaled by a diagonal congruence), which
     keeps the data O(1) even though the witness lives at coordinate scale
-    C^deg; without degree metadata the raw slice is attempted.
+    C^deg; without degree metadata the raw slice is attempted.  The slice's
+    phase 1 stops at its first verified witness; its record, under role, is
+    appended to phases.
     """
     b = comp.b
     nz = [l for l in range(len(b)) if b[l] != 0.0]
@@ -430,36 +536,54 @@ def _cap_slice_feasible(comp: "_Compiled", opts: SdpOptions) -> bool:
     Fsr = np.array([Fss[l] - (bs[l] / bs[lstar]) * Fss[lstar] for l in rest]).reshape(
         len(rest), d, d
     )
-    t, yfree, res = _phase1_core(F0r, Fsr, opts)
     scale = max(1.0, float(np.max(np.abs(F0r))))
-    # a strictly feasible best iterate certifies the slice regardless of
-    # whether the max-t problem itself converged (its optimum may not be
-    # attained); the margin is verified directly, not trusted from the solver
-    return _feasibility_margin(F0r, Fsr, yfree) >= 1e-7 * scale
+    t, yfree, res = _phase1_core(F0r, Fsr, opts, stop_margin=_SLICE_MARGIN * scale)
+    # a strictly feasible iterate certifies the slice regardless of whether
+    # the max-t problem itself converged (its optimum may not be attained);
+    # the margin is verified directly, not trusted from the solver
+    lam = _feasibility_margin(F0r, Fsr, yfree)
+    phases.append(PhaseRecord(role, res.iterations, res.stop, lam / scale))
+    return lam >= _SLICE_MARGIN * scale
 
 
-def _phase1_core(F0, Fs, opts: SdpOptions):
-    """Best t of the max-t problem, the matching y, and the core result."""
+def _phase1_core(F0, Fs, opts: SdpOptions, stop_margin: float | None = None):
+    """Best t of the max-t problem, the matching y, and the core result.
+
+    With stop_margin, the solve stops at the first iterate whose y has a
+    verified smallest eigenvalue of at least stop_margin.
+    """
     cap = 10.0 * max(1.0, float(np.max(np.abs(F0))))
     F0a, Fsa, ba = _augment_phase1(F0, Fs, cap)
-    res = _solve_core(F0a, Fsa, ba, opts)
+    witness = None
+    if stop_margin is not None:
+        witness = lambda ya: _feasibility_margin(F0, Fs, ya[:-1]) >= stop_margin
+    res = _solve_core(F0a, Fsa, ba, opts, witness=witness)
     return res.pobj, res.y[:-1], res
 
 
-def _classify_failure(comp: _Compiled, opts: SdpOptions) -> SdpStatus:
-    t, yfeas, p1 = _phase1_core(comp.F0, comp.Fs, opts)
-    if p1.status == SdpStatus.OPTIMAL and t < -opts.feas_tol:
-        return SdpStatus.INFEASIBLE
-    primal_feasible = (
-        p1.status == SdpStatus.OPTIMAL and t >= -opts.feas_tol
-    ) or _feasibility_margin(comp.F0, comp.Fs, yfeas) >= -opts.feas_tol
-    if primal_feasible:
-        F0r, Fsr, br = _augment_recession(comp.Fs, comp.b)
-        rec = _solve_core(F0r, Fsr, br, opts)
-        if rec.status == SdpStatus.OPTIMAL and rec.pobj > 0.5:
-            return SdpStatus.UNBOUNDED
-        if _cap_slice_feasible(comp, opts):
-            return SdpStatus.UNBOUNDED
+def _classify_failure(
+    comp: _Compiled, opts: SdpOptions, main: _CoreResult, phases: list[PhaseRecord]
+) -> SdpStatus:
+    """Verdict for a main solve that ended without one, cheapest test first."""
+    if _feasibility_margin(comp.F0, comp.Fs, main.y) < -opts.feas_tol:
+        t, yfeas, p1 = _phase1_core(comp.F0, comp.Fs, opts, stop_margin=-opts.feas_tol)
+        phases.append(PhaseRecord("phase1", p1.iterations, p1.stop, t))
+        if p1.status == SdpStatus.OPTIMAL and t < -opts.feas_tol:
+            return SdpStatus.INFEASIBLE
+        primal_feasible = (
+            p1.status == SdpStatus.OPTIMAL and t >= -opts.feas_tol
+        ) or _feasibility_margin(comp.F0, comp.Fs, yfeas) >= -opts.feas_tol
+        if not primal_feasible:
+            return SdpStatus.NUMERICAL_TROUBLE
+    # a probe that declined already ran the cap-slice test, which does not
+    # depend on the main iterate
+    if not main.probed and _cap_slice_feasible(comp, opts, "cap_slice", phases):
+        return SdpStatus.UNBOUNDED
+    F0r, Fsr, br = _augment_recession(comp.Fs, comp.b)
+    rec = _solve_core(F0r, Fsr, br, opts)
+    phases.append(PhaseRecord("recession", rec.iterations, rec.stop, rec.pobj))
+    if rec.status == SdpStatus.OPTIMAL and rec.pobj > 0.5:
+        return SdpStatus.UNBOUNDED
     return SdpStatus.NUMERICAL_TROUBLE
 
 
@@ -472,10 +596,15 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
     """
     opts = opts or SdpOptions()
     comp = _Compiled(problem)
-    res = _solve_core(comp.F0, comp.Fs, comp.b, opts)
+    probes: list[PhaseRecord] = []
+    res = _solve_core(
+        comp.F0, comp.Fs, comp.b, opts,
+        probe=lambda: _cap_slice_feasible(comp, opts, "probe", probes),
+    )
+    phases = [PhaseRecord("main", res.iterations, res.stop)] + probes
     status = res.status
     if status == SdpStatus.NUMERICAL_TROUBLE and len(comp.Fs):
-        status = _classify_failure(comp, opts)
+        status = _classify_failure(comp, opts, res, phases)
     value = comp.sign * res.pobj + comp.offset
     if status == SdpStatus.UNBOUNDED:
         value = math.inf if comp.sign > 0 else -math.inf
@@ -490,6 +619,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         primal_residual=res.pr,
         dual_residual=res.dr,
         iterates=res.iterates,
+        phases=phases,
     )
 
 
@@ -524,6 +654,7 @@ def phase1_interior(problem: SdpProblem, opts: SdpOptions | None = None) -> Phas
         primal_residual=res.pr,
         dual_residual=res.dr,
         iterates=res.iterates,
+        phases=[PhaseRecord("phase1", res.iterations, res.stop, t)],
     )
     if res.status != SdpStatus.OPTIMAL:
         # fall back to the verified margin of the best iterate

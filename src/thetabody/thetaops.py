@@ -8,8 +8,6 @@ quotient oracle and its moment template at a fixed level.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -67,6 +65,7 @@ class RayShot:
     t: float | None
     unbounded: bool
     status: SdpStatus
+    solution: SdpSolution | None = None
 
 
 @dataclass
@@ -222,10 +221,10 @@ def ray_shoot(
     tpl = _ray_template(p, direction)
     sol = solve(SdpProblem(tpl, {1: 1.0}, {0: 1.0}), opts)
     if sol.status == SdpStatus.UNBOUNDED:
-        return RayShot(None, True, sol.status)
+        return RayShot(None, True, sol.status, sol)
     if sol.status == SdpStatus.OPTIMAL:
-        return RayShot(sol.value, False, sol.status)
-    return RayShot(None, False, sol.status)
+        return RayShot(sol.value, False, sol.status, sol)
+    return RayShot(None, False, sol.status, sol)
 
 
 def trace_boundary_2d(
@@ -234,7 +233,12 @@ def trace_boundary_2d(
     opts: SdpOptions | None = None,
     jobs: int | None = None,
 ) -> list[TracePoint]:
-    """Radial boundary trace over equally spaced directions (plane only)."""
+    """Radial boundary trace over equally spaced directions (plane only).
+
+    jobs is accepted for compatibility and ignored: the directions are solved
+    one after another, since the solves hold the interpreter lock and a
+    thread pool made tracing no faster.
+    """
     if p.nvars != 2:
         raise ValueError("boundary tracing needs a 2-variable problem")
     if num_dirs < 1:
@@ -248,8 +252,7 @@ def trace_boundary_2d(
             return TracePoint(theta, None, None, None, shot.unbounded)
         return TracePoint(theta, shot.t, shot.t * d[0], shot.t * d[1], False)
 
-    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count()) as pool:
-        return list(pool.map(shoot, thetas))
+    return [shoot(theta) for theta in thetas]
 
 
 def support_contour(
@@ -258,7 +261,10 @@ def support_contour(
     opts: SdpOptions | None = None,
     jobs: int | None = None,
 ) -> list[SupportLine]:
-    """Supporting halfspaces c.x <= lambda(c) for every requested direction."""
+    """Supporting halfspaces c.x <= lambda(c) for every requested direction.
+
+    jobs is accepted for compatibility and ignored, as in trace_boundary_2d.
+    """
     if not directions:
         raise ValueError("need at least one direction")
     for c in directions:
@@ -271,8 +277,7 @@ def support_contour(
             return SupportLine(tuple(c), None, True)
         return SupportLine(tuple(c), res.value, False)
 
-    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count()) as pool:
-        return list(pool.map(one, directions))
+    return [one(c) for c in directions]
 
 
 def _gram_product_poly(oracle: QuotientOracle, gram: Sequence[Sequence]) -> Polynomial:

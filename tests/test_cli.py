@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from thetabody.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main
+from thetabody.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
 from thetabody.exactness import enumerate_facets
 from thetabody.polycore import parse_polynomial
 
@@ -106,6 +106,20 @@ class TestSolve:
             assert key in report
         assert isinstance(report["optimizer"], list)
 
+    def test_report_lists_phases(self, tmp_path):
+        f = write_json(
+            tmp_path / "c1.json",
+            {"kind": "curve", "k": 1, "polynomial": CARDIOID_TEXT, "objective": [1, 0]},
+        )
+        out = tmp_path / "c1_report.json"
+        assert main(["solve", f, "--json", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["status"] == "Unbounded" and report["value"] is None
+        phases = report["phases"]
+        assert phases[0]["role"] == "main" and phases[0]["iterations"] == report["iterations"]
+        assert phases[-1]["role"] in ("probe", "cap_slice", "recession")
+        assert all(set(ph) == {"role", "iterations", "stop", "margin"} for ph in phases)
+
 
 class TestTrace:
     def test_csv_rows_and_svg(self, cardioid_file, tmp_path):
@@ -134,6 +148,16 @@ class TestTrace:
         assert len(rows) == 8
         assert all(r["t"] == "inf" for r in rows)
         assert "<polyline" not in svg_path.read_text()
+
+    def test_rays_without_verdict_write_nan_rows(self, cardioid_file, tmp_path, capsys):
+        # five iterations leave every level-2 ray without a verdict
+        csv_path = tmp_path / "short.csv"
+        code = main(["trace", cardioid_file, "--num-dirs", "8", "--csv", str(csv_path), "--max-iter", "5"])
+        assert code == EXIT_NUMERICAL
+        rows = list(csv.DictReader(csv_path.open()))
+        assert len(rows) == 8
+        assert all(r["t"] == r["x"] == r["y"] == "nan" for r in rows)
+        assert "8 NumericalTrouble" in capsys.readouterr().out
 
     def test_svg_deterministic(self, cardioid_file, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -7,9 +7,12 @@ import pytest
 from thetabody.moment import MomentTemplate, barycenter_vector, build_moment_template
 from thetabody.quotient import basis_cut_ideal, basis_stable_set, cycle_graph
 from thetabody.sdp import (
+    PhaseRecord,
     SdpOptions,
     SdpProblem,
     SdpStatus,
+    _Compiled,
+    _solve_core,
     phase1_interior,
     solve,
 )
@@ -155,6 +158,20 @@ class TestStatusClassification:
             sol = solve(SdpProblem(t, {1: math.cos(theta), 2: math.sin(theta)}, {0: 1.0}))
             assert sol.status == SdpStatus.UNBOUNDED
 
+    def test_declined_probe_leaves_bounded_solve_unchanged(self, cardioid_oracle_k2):
+        # a slow level-2 support near (-1, 0): the divergence probe fires at
+        # iteration 20, the cap-slice test finds no point, and the main solve
+        # goes on to the same Optimal verdict and iterates as without it
+        t = build_moment_template(cardioid_oracle_k2, 2)
+        a = 29 * math.pi / 30
+        prob = SdpProblem(t, {1: math.cos(a), 2: math.sin(a)}, {0: 1.0})
+        sol = solve(prob)
+        assert sol.status == SdpStatus.OPTIMAL
+        assert [ph.role for ph in sol.phases] == ["main", "probe"]
+        assert sol.phases[1].margin < 1e-7
+        comp = _Compiled(prob)
+        assert sol.iterates == _solve_core(comp.F0, comp.Fs, comp.b, SdpOptions()).iterates
+
     def test_numerical_trouble_on_tiny_budget(self, pentagon_oracle_k1):
         t = build_moment_template(pentagon_oracle_k1, 1)
         opts = SdpOptions(max_iter=3)
@@ -227,3 +244,16 @@ class TestLargestGraphSize:
         assert sol.dual_residual <= 1e-8
         assert abs(sol.gap) <= 1e-8
         assert solve(prob).iterates == sol.iterates
+
+    def test_seven_cycle_level2_runs_one_main_phase(self):
+        # the gap converges long before the dual residual here, which the
+        # divergence probe's gap gate must not mistake for divergence
+        t = build_moment_template(basis_stable_set(cycle_graph(7), 2), 2)
+        prob = SdpProblem(t, {i: 1.0 for i in range(1, 8)}, {0: 1.0})
+        sol = solve(prob)
+        assert sol.status == SdpStatus.OPTIMAL
+        assert abs(sol.value - 3.0) <= 1e-6
+        assert sol.phases == [PhaseRecord("main", sol.iterations, "dual_projection")]
+        comp = _Compiled(prob)
+        plain = _solve_core(comp.F0, comp.Fs, comp.b, SdpOptions())
+        assert sol.iterates == plain.iterates

@@ -11,6 +11,7 @@ from thetabody.quotient import (
     cycle_graph,
     permutation_points,
 )
+from thetabody.sdp import SdpStatus
 from thetabody.thetaops import (
     certificate_from_squares,
     extract_certificate,
@@ -130,6 +131,36 @@ class TestRayShoot:
     def test_zero_direction_rejected(self, cardioid_p2):
         with pytest.raises(ValueError):
             ray_shoot(cardioid_p2, (0.0, 0.0))
+
+
+def certified_unbounded(sol) -> bool:
+    """The Unbounded verdict rests on a verified cap-slice point or ray."""
+    last = sol.phases[-1]
+    if last.role in ("probe", "cap_slice"):
+        return last.margin >= 1e-7
+    return last.role == "recession" and last.margin > 0.5
+
+
+class TestEarlyUnboundedVerdict:
+    # the weakly unbounded level-1 cardioid: no improving ray exists, so the
+    # verdict comes from the cap-slice test the divergence probe runs
+    def test_level1_ray_within_50_iterations(self, cardioid_p1):
+        shot = ray_shoot(cardioid_p1, (math.cos(2.0), math.sin(2.0)))
+        assert shot.unbounded and shot.status == SdpStatus.UNBOUNDED
+        assert sum(ph.iterations for ph in shot.solution.phases) <= 50
+        assert certified_unbounded(shot.solution)
+
+    def test_level1_support_within_50_iterations(self, cardioid_p1):
+        sol = maximize_linear(cardioid_p1, (math.cos(4.0), math.sin(4.0))).solution
+        assert sol.status == SdpStatus.UNBOUNDED
+        assert sum(ph.iterations for ph in sol.phases) <= 50
+        assert sol.phases[0].role == "main"
+        assert certified_unbounded(sol)
+
+    def test_slow_level2_support_is_not_unbounded(self, cardioid_p2):
+        sol = maximize_linear(cardioid_p2, (math.cos(2.9583), math.sin(2.9583))).solution
+        assert sol.status != SdpStatus.UNBOUNDED
+        assert all(ph.margin < 1e-7 for ph in sol.phases if ph.role == "probe")
 
 
 class TestTrace:
