@@ -305,23 +305,25 @@ def cmd_trace(args) -> int:
     num = args.num_dirs
     elements: list[str] = []
     extent: list[tuple[float, float]] = list(samples)
-    n_failed = 0
     if args.contour:
         dirs = [
             (math.cos(2 * math.pi * j / num), math.sin(2 * math.pi * j / num))
             for j in range(num)
         ]
         lines = support_contour(problem, dirs, opts)
-        rows = []
-        for j, line in enumerate(lines):
-            theta = 2 * math.pi * j / num
-            rows.append((theta, line.value if line.value is not None else math.inf))
         if args.csv:
             with open(args.csv, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["theta", "lambda"])
-                for theta, lam in rows:
-                    w.writerow([f"{theta:.9g}", "inf" if lam == math.inf else f"{lam:.9g}"])
+                for j, line in enumerate(lines):
+                    if line.unbounded:
+                        lam = "inf"
+                    elif line.value is None:
+                        # the solve ended without a verdict (NumericalTrouble)
+                        lam = "nan"
+                    else:
+                        lam = f"{line.value:.9g}"
+                    w.writerow([f"{2 * math.pi * j / num:.9g}", lam])
         finite = [(d, v) for d, v in zip(dirs, (l.value for l in lines)) if v is not None]
         for (cx, cy), lam in finite:
             # tangent line c.x = lambda, drawn across the sample extent
@@ -335,6 +337,8 @@ def cmd_trace(args) -> int:
                 _segment(px - span * tx, py - span * ty, px + span * tx, py + span * ty, "#888888", 0.01)
             )
             extent.append((px, py))
+        n_unbounded = sum(1 for line in lines if line.unbounded)
+        n_failed = sum(1 for line in lines if line.value is None and not line.unbounded)
     else:
         trace = trace_boundary_2d(problem, num, opts)
         if args.csv:
@@ -357,7 +361,7 @@ def cmd_trace(args) -> int:
             extent.extend(finite_pts)
         n_unbounded = sum(1 for pt in trace if pt.unbounded)
         n_failed = sum(1 for pt in trace if pt.t is None and not pt.unbounded)
-        print(f"traced {len(trace)} directions, {n_unbounded} unbounded, {n_failed} NumericalTrouble")
+    print(f"traced {num} directions, {n_unbounded} unbounded, {n_failed} NumericalTrouble")
     if samples:
         elements.insert(0, _polygon(samples, "#c23b22", 0.02))
     if args.svg:
@@ -564,7 +568,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--csv", help="CSV output path")
     p_trace.add_argument("--svg", help="SVG output path")
     p_trace.add_argument("--contour", action="store_true", help="support lines instead of rays")
-    p_trace.add_argument("--jobs", type=int, help="accepted and ignored: directions are solved serially")
     p_trace.set_defaults(func=cmd_trace)
 
     p_exact = sub.add_parser("exactness", help="facet levels of a finite point set")

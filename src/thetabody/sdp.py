@@ -17,8 +17,12 @@ right-hand sides and the primal and dual directions are accumulated in
 extended precision (numpy longdouble), and each Schur solve gets exactly one
 sweep of mixed-precision iterative refinement: the residual of the
 regularized system is evaluated in extended precision by applying the
-operator to the float64 solution without forming H, O(d^3 + m d^2) against
-O(m d^3 + m^2 d^2) for forming it, and the correction reuses the factor.
+operator to the float64 solution without forming H, and the correction
+reuses the factor.  A moment matrix is built modulo the ideal, so each F_l
+has only a few nonzeros; the extended-precision products with the F_l run
+over those nonzeros in the order numpy's dense (BLAS-free) longdouble matmul
+adds them, which gives the dense product bit for bit at O(nnz) instead of
+O(m d^2).  The step lengths reuse the iteration's Cholesky factors of S and Z.
 At convergence checks the dual iterate is additionally projected onto the
 exact dual-feasibility subspace, which is a fixed well-conditioned system.
 Everything is deterministic: identical inputs produce identical iterates.
@@ -227,10 +231,11 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest a with X + a*dX still positive definite (inf if all a work)."""
-    L = np.linalg.cholesky(X)
-    Linv = np.linalg.inv(L)
+def _max_step(Linv: np.ndarray, dX: np.ndarray) -> float:
+    """Largest a with X + a*dX still positive definite (inf if all a work).
+
+    Linv is the inverse of the Cholesky factor of X.
+    """
     lam = np.linalg.eigvalsh(_sym(Linv @ dX @ Linv.T))[0]
     if lam >= 0.0:
         return math.inf
@@ -238,8 +243,40 @@ def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
 
 
 def _feasibility_margin(F0, Fs, yfree) -> float:
-    M = F0 + np.tensordot(yfree, Fs, axes=1) if len(yfree) else F0.copy()
+    M = F0 + (yfree @ Fs.reshape(len(Fs), F0.size)).reshape(F0.shape) if len(yfree) else F0.copy()
     return float(np.linalg.eigvalsh(_sym(M))[0])
+
+
+class _SparseLD:
+    """The nonzeros of a float64 matrix A, for products with A in longdouble.
+
+    numpy's longdouble matmul runs without BLAS: every output entry starts at
+    zero and adds its products in index order.  np.add.at over the nonzeros,
+    kept in that order, does the same additions; each skipped term would have
+    added a signed zero to a sum that starting from +0 never becomes -0.  So
+    on finite data both products equal A.astype(longdouble) @ x and
+    v @ A.astype(longdouble) bit for bit, at O(nnz) instead of O(size).
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.shape = A.shape
+        rows, cols = np.nonzero(A)
+        vals = A[rows, cols].astype(_LD)
+        self.rows, self.cols, self.vals = rows, cols, vals
+        by_col = np.lexsort((rows, cols))
+        self.rows_t, self.cols_t, self.vals_t = rows[by_col], cols[by_col], vals[by_col]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x"""
+        out = np.zeros(self.shape[0], dtype=_LD)
+        np.add.at(out, self.rows, self.vals * x[self.cols])
+        return out
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """v @ A"""
+        out = np.zeros(self.shape[1], dtype=_LD)
+        np.add.at(out, self.cols_t, v[self.rows_t] * self.vals_t)
+        return out
 
 
 def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreResult:
@@ -261,7 +298,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
         )
 
     Fflat = Fs.reshape(m, d * d)
-    Fflat_ld = Fflat.astype(_LD)
+    F_ld = _SparseLD(Fflat)
     gram = Fflat @ Fflat.T
     gram_cho = np.linalg.cholesky(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
 
@@ -270,7 +307,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
         resid = -b - Fflat @ Z.reshape(d * d)
         u = np.linalg.solve(gram_cho, resid)
         nu = np.linalg.solve(gram_cho.T, u)
-        return _sym(Z + np.tensordot(nu, Fs, axes=1))
+        return _sym(Z + (nu @ Fflat).reshape(d, d))
 
     eta = max(
         1.0,
@@ -291,12 +328,12 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
     it = 0
     while it < opts.max_iter:
         it += 1
-        My = F0 + np.tensordot(y, Fs, axes=1)
+        My = F0 + (y @ Fflat).reshape(d, d)
         Rp = _sym(My - S)
         rd = -b - Fflat @ Z.reshape(d * d)
-        gap = float(np.tensordot(S, Z))
+        gap = float(np.vdot(S, Z))
         pobj = float(b @ y)
-        dobj = float(np.tensordot(F0, Z)) - float(y @ rd) - float(np.tensordot(Rp, Z))
+        dobj = float(np.vdot(F0, Z)) - float(y @ rd) - float(np.vdot(Rp, Z))
         pr = float(np.max(np.abs(Rp)))
         dr = float(np.max(np.abs(rd)))
         iterates.append(IterateRecord(it, pobj, dobj, gap, pr, dr))
@@ -334,7 +371,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
                 dr_b = float(np.max(np.abs(-b - Fflat @ Zb.reshape(d * d))))
                 if dr_b > opts.feas_tol:
                     continue
-                gap_b = float(np.tensordot(S, Zb))
+                gap_b = float(np.vdot(S, Zb))
                 if abs(gap_b) > opts.gap_tol * max(1.0, abs(pobj)):
                     continue
                 if float(np.linalg.eigvalsh(Zb)[0]) < -opts.feas_tol:
@@ -389,11 +426,13 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
         T = Ls @ Vt.T / np.sqrt(sv)
         try:
             Tinv = np.linalg.inv(T)
+            # inverse Cholesky factors: Zinv, and the step lengths in S and Z
+            Ls_inv = np.linalg.inv(Ls)
+            Lz_inv = np.linalg.inv(Lz)
         except np.linalg.LinAlgError:
             break
         Winv = Tinv.T @ Tinv
         Winv_ld = Winv.astype(_LD)
-        Lz_inv = np.linalg.inv(Lz)
         Zinv = (Lz_inv.T @ Lz_inv).astype(_LD)
         Rp_ld = Rp.astype(_LD)
         rd_ld = rd.astype(_LD)
@@ -418,14 +457,14 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
 
         def directions(Rc_ld):
             rhs_mat = Winv_ld @ (Rc_ld - Rp_ld) @ Winv_ld
-            rhs = Fflat_ld @ rhs_mat.reshape(d * d) - rd_ld
+            rhs = F_ld.matvec(rhs_mat.reshape(d * d)) - rd_ld
             dy = schur_solve(rhs.astype(np.float64)).astype(_LD)
             # one refinement sweep against the shifted Schur operator,
             # applied in extended precision without forming it
-            dM = Winv_ld @ (dy @ Fflat_ld).reshape(d, d) @ Winv_ld
-            resid = rhs - Fflat_ld @ dM.reshape(d * d) - _LD(shift) * dy
+            dM = Winv_ld @ F_ld.rmatvec(dy).reshape(d, d) @ Winv_ld
+            resid = rhs - F_ld.matvec(dM.reshape(d * d)) - _LD(shift) * dy
             dy = dy + schur_solve(resid.astype(np.float64))
-            dS = (dy @ Fflat_ld).reshape(d, d) + Rp_ld
+            dS = F_ld.rmatvec(dy).reshape(d, d) + Rp_ld
             dZ = Winv_ld @ (Rc_ld - dS) @ Winv_ld
             dS = (dS + dS.T) / 2
             dZ = (dZ + dZ.T) / 2
@@ -445,13 +484,13 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
             else:
                 # predictor step fixes the centering weight for the real step
                 dy_a, dS_a, dZ_a = directions(-S_ld)
-                ap = min(1.0, opts.step_frac * _max_step(S, dS_a))
-                ad = min(1.0, opts.step_frac * _max_step(Z, dZ_a))
-                mu_aff = float(np.tensordot(S + ap * dS_a, Z + ad * dZ_a)) / d
+                ap = min(1.0, opts.step_frac * _max_step(Ls_inv, dS_a))
+                ad = min(1.0, opts.step_frac * _max_step(Lz_inv, dZ_a))
+                mu_aff = float(np.vdot(S + ap * dS_a, Z + ad * dZ_a)) / d
                 sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
                 dy, dS, dZ = directions(_LD(sigma * mu) * Zinv - S_ld)
-            ap = min(1.0, opts.step_frac * _max_step(S, dS))
-            ad = min(1.0, opts.step_frac * _max_step(Z, dZ))
+            ap = min(1.0, opts.step_frac * _max_step(Ls_inv, dS))
+            ad = min(1.0, opts.step_frac * _max_step(Lz_inv, dZ))
         except np.linalg.LinAlgError:
             break
         stop = "max_iter"

@@ -231,14 +231,8 @@ def trace_boundary_2d(
     p: ThetaBodyProblem,
     num_dirs: int,
     opts: SdpOptions | None = None,
-    jobs: int | None = None,
 ) -> list[TracePoint]:
-    """Radial boundary trace over equally spaced directions (plane only).
-
-    jobs is accepted for compatibility and ignored: the directions are solved
-    one after another, since the solves hold the interpreter lock and a
-    thread pool made tracing no faster.
-    """
+    """Radial boundary trace over equally spaced directions (plane only)."""
     if p.nvars != 2:
         raise ValueError("boundary tracing needs a 2-variable problem")
     if num_dirs < 1:
@@ -259,11 +253,11 @@ def support_contour(
     p: ThetaBodyProblem,
     directions: Sequence[Sequence],
     opts: SdpOptions | None = None,
-    jobs: int | None = None,
 ) -> list[SupportLine]:
     """Supporting halfspaces c.x <= lambda(c) for every requested direction.
 
-    jobs is accepted for compatibility and ignored, as in trace_boundary_2d.
+    A direction whose solve ends without an Optimal or Unbounded verdict gets
+    no support: value None and unbounded False.
     """
     if not directions:
         raise ValueError("need at least one direction")
@@ -273,9 +267,10 @@ def support_contour(
 
     def one(c) -> SupportLine:
         res = maximize_linear(p, c, opts)
-        if res.solution.status == SdpStatus.UNBOUNDED:
+        status = res.solution.status
+        if status == SdpStatus.UNBOUNDED:
             return SupportLine(tuple(c), None, True)
-        return SupportLine(tuple(c), res.value, False)
+        return SupportLine(tuple(c), res.value if status == SdpStatus.OPTIMAL else None, False)
 
     return [one(c) for c in directions]
 

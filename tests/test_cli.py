@@ -127,7 +127,7 @@ class TestTrace:
         svg_path = tmp_path / "trace.svg"
         assert (
             main(
-                ["trace", cardioid_file, "--num-dirs", "16", "--csv", str(csv_path), "--svg", str(svg_path), "--jobs", "2"]
+                ["trace", cardioid_file, "--num-dirs", "16", "--csv", str(csv_path), "--svg", str(svg_path)]
             )
             == EXIT_OK
         )
@@ -162,7 +162,7 @@ class TestTrace:
     def test_svg_deterministic(self, cardioid_file, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         main(["trace", cardioid_file, "--num-dirs", "12", "--svg", str(a)])
-        main(["trace", cardioid_file, "--num-dirs", "12", "--svg", str(b), "--jobs", "3"])
+        main(["trace", cardioid_file, "--num-dirs", "12", "--svg", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_full_sweep_has_720_finite_rows(self, cardioid_file, tmp_path):
@@ -184,6 +184,22 @@ class TestTrace:
         rows = list(csv.DictReader(csv_path.open()))
         assert len(rows) == 32
         assert svg_path.read_text().count("<line") == 32
+
+    def test_contour_lines_without_verdict_write_nan_rows(self, cardioid_file, tmp_path, capsys):
+        # five iterations leave every level-2 support without a verdict, and
+        # a support line from an unconverged iterate could cut off the curve
+        csv_path = tmp_path / "short_contour.csv"
+        svg_path = tmp_path / "short_contour.svg"
+        code = main(
+            ["trace", cardioid_file, "--contour", "--num-dirs", "4", "--csv", str(csv_path),
+             "--svg", str(svg_path), "--max-iter", "5"]
+        )
+        assert code == EXIT_NUMERICAL
+        rows = list(csv.DictReader(csv_path.open()))
+        assert len(rows) == 4
+        assert all(r["lambda"] == "nan" for r in rows)
+        assert "<line" not in svg_path.read_text()
+        assert "4 NumericalTrouble" in capsys.readouterr().out
 
     def test_needs_two_variables(self, pentagon_file):
         assert main(["trace", pentagon_file, "--num-dirs", "4"]) == EXIT_INPUT

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thetabody.moment import MomentTemplate, barycenter_vector, build_moment_template
-from thetabody.quotient import basis_cut_ideal, basis_stable_set, cycle_graph
+from thetabody.quotient import basis_cut_ideal, basis_points, basis_stable_set, cycle_graph
 from thetabody.sdp import (
     PhaseRecord,
     SdpOptions,
@@ -13,6 +13,7 @@ from thetabody.sdp import (
     SdpStatus,
     _Compiled,
     _solve_core,
+    _SparseLD,
     phase1_interior,
     solve,
 )
@@ -257,3 +258,31 @@ class TestLargestGraphSize:
         comp = _Compiled(prob)
         plain = _solve_core(comp.F0, comp.Fs, comp.b, SdpOptions())
         assert sol.iterates == plain.iterates
+
+
+class TestSparseProducts:
+    def test_sparse_products_equal_dense_longdouble(self, cardioid_oracle_k2):
+        # the solver's iterates are bit-identical to the dense longdouble
+        # products only if every sparse product equals the dense one exactly
+        cube4 = [[(i >> j) & 1 for j in range(4)] for i in range(16)]
+        templates = [
+            build_moment_template(basis_stable_set(cycle_graph(9), 2), 2),
+            build_moment_template(basis_cut_ideal(cycle_graph(6), 2), 2),
+            build_moment_template(cardioid_oracle_k2, 2),
+            build_moment_template(basis_points(cube4), 1),
+        ]
+        rng = np.random.default_rng(7)
+        ld = np.longdouble
+        for t in templates:
+            free = _Compiled(SdpProblem(t, {}, {0: 1.0})).Fs
+            for Fs in (t.coefficient_matrices(), free):
+                A = Fs.reshape(len(Fs), -1)
+                sparse = _SparseLD(A)
+                assert len(sparse.vals) == np.count_nonzero(A) < A.size
+                dense = A.astype(ld)
+                for _ in range(5):
+                    # values with bits beyond float64's 53
+                    x = rng.normal(size=A.shape[1]).astype(ld) * (1 + ld(2) ** -60)
+                    v = rng.normal(size=A.shape[0]).astype(ld) * (1 + ld(2) ** -60)
+                    assert np.array_equal(sparse.matvec(x), dense @ x)
+                    assert np.array_equal(sparse.rmatvec(v), v @ dense)

@@ -180,12 +180,6 @@ class TestTrace:
         assert abs(points[0].t - shot.t) <= 1e-9
         assert points[0].theta == 0.0
 
-    def test_jobs_parameter_keeps_order(self, cardioid_p2):
-        seq = trace_boundary_2d(cardioid_p2, 8, jobs=1)
-        par = trace_boundary_2d(cardioid_p2, 8, jobs=4)
-        assert [p.theta for p in seq] == [p.theta for p in par]
-        assert all(abs(a.t - b.t) <= 1e-9 for a, b in zip(seq, par))
-
 
 class TestSupportContour:
     def test_duality_consistency(self, cardioid_p2):
