@@ -1,25 +1,24 @@
 """Facet enumeration and level counting for small finite point sets.
 
 Everything is exact rational arithmetic.  Points are first projected into
-their affine hull; facets of the hull polytope are found by exhaustive search
-over point subsets spanning hyperplanes, deduplicated through a canonical
-primitive-integer form, and lifted back to ambient coordinates.  The level of
-a facet is the number of distinct values its functional takes on the point
-set; a polytope all of whose facets have level 2 certifies that the first
-theta body of the point set's vanishing ideal is already its convex hull.
+their affine hull; facets of the hull polytope are found by the
+double-description method on integer data (Motzkin et al. 1953; Fukuda and
+Prodon 1996) and lifted back to ambient coordinates.  The level of a facet is
+the number of distinct values its functional takes on the point set; a
+polytope all of whose facets have level 2 certifies that the first theta body
+of the point set's vanishing ideal is already its convex hull.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .quotient import CapExceededError
+from .quotient import CapExceededError, _RowReducer
 
-MAX_HULL_DIM = 6
+MAX_HULL_DIM = 9
 MAX_POINTS = 64
 
 
@@ -57,197 +56,142 @@ def _exact_points(S: Sequence[Sequence]) -> list[tuple]:
     return pts
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Independent rows of the input, reduced (used for rank and spans)."""
-    out: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        v = list(row)
-        for piv, rvec in out:
-            f = v[piv] / rvec[piv]
-            if f:
-                for t in range(len(v)):
-                    if rvec[t]:
-                        v[t] -= f * rvec[t]
-        piv = next((t for t in range(len(v)) if v[t]), None)
-        if piv is not None:
-            out.append((piv, v))
-    return [v for _, v in out]
-
-
-def _solve_coords(basis: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    """Coefficients expressing vec over the (independent) basis rows."""
-    work: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    for i, row in enumerate(basis):
-        v = list(row)
-        expr = [Fraction(0)] * len(basis)
-        expr[i] = Fraction(1)
-        for piv, rvec, rexpr in work:
-            f = v[piv] / rvec[piv]
-            if f:
-                for t in range(len(v)):
-                    if rvec[t]:
-                        v[t] -= f * rvec[t]
-                for t in range(len(basis)):
-                    if rexpr[t]:
-                        expr[t] -= f * rexpr[t]
-        piv = next(t for t in range(len(v)) if v[t])
-        work.append((piv, v, expr))
-    v = list(vec)
-    coeffs = [Fraction(0)] * len(basis)
-    for piv, rvec, rexpr in work:
-        f = v[piv] / rvec[piv]
-        if f:
-            for t in range(len(v)):
-                if rvec[t]:
-                    v[t] -= f * rvec[t]
-            for t in range(len(basis)):
-                coeffs[t] += f * rexpr[t]
-    if any(v):
-        raise ValueError("vector outside the affine hull")
-    return coeffs
-
-
 def _affine_frame(pts: list[tuple]):
-    """(origin, basis rows, hull coordinates of every point)."""
+    """(origin, basis rows, hull coordinates of every point, frame points).
+
+    The frame points are the indices of the affinely independent points the
+    basis is drawn from: the origin, then one point per basis row.
+    """
     origin = pts[0]
-    diffs = [[a - b for a, b in zip(p, origin)] for p in pts[1:]]
-    raw_basis: list[list[Fraction]] = []
-    reduced: list[tuple[int, list[Fraction]]] = []
+    diffs = [[a - b for a, b in zip(p, origin)] for p in pts]
+    reducer = _RowReducer(len(origin))
+    basis: list[list[Fraction]] = []
+    frame = [0]
+    for i, row in enumerate(diffs[1:], 1):
+        if reducer.try_add(row, len(basis)) is None:
+            basis.append(row)
+            frame.append(i)
+    coords = []
     for row in diffs:
-        v = list(row)
-        for piv, rvec in reduced:
-            f = v[piv] / rvec[piv]
-            if f:
-                for t in range(len(v)):
-                    if rvec[t]:
-                        v[t] -= f * rvec[t]
-        piv = next((t for t in range(len(v)) if v[t]), None)
-        if piv is not None:
-            reduced.append((piv, v))
-            raw_basis.append(list(row))
-    coords = [
-        tuple(_solve_coords(raw_basis, [a - b for a, b in zip(p, origin)]))
-        for p in pts
-    ]
-    return origin, raw_basis, coords
+        expansion = reducer.expand(row)
+        coords.append(tuple(expansion.get(i, Fraction(0)) for i in range(len(basis))))
+    return origin, basis, coords, frame
+
+
+def _inverse_columns(columns: list[list]) -> list[list[Fraction]]:
+    """Columns of the inverse of the square matrix with the given columns."""
+    n = len(columns)
+    reducer = _RowReducer(n)
+    for j, col in enumerate(columns):
+        reducer.try_add(col, j)
+    out = []
+    for k in range(n):
+        expansion = reducer.expand([int(t == k) for t in range(n)])
+        out.append([expansion.get(j, Fraction(0)) for j in range(n)])
+    return out
 
 
 def _primitive(vals: list[Fraction]) -> list[int]:
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in vals))
     ints = [int(v * denom) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     return [x // g for x in ints] if g else ints
 
 
-def _hyperplane_normal(points: list[tuple], d: int) -> list[Fraction] | None:
-    """Normal of the hyperplane through d affinely independent points, or None."""
-    rows = [[points[i][t] - points[0][t] for t in range(d)] for i in range(1, d)]
-    reduced = _row_reduce(rows)
-    if len(reduced) != d - 1:
-        return None
-    # back-substitute for a nullspace vector of the reduced row system
-    pivots = []
-    seen = []
-    for v in reduced:
-        piv = next(t for t in range(d) if v[t])
-        pivots.append(piv)
-        seen.append(v)
-    free = next(t for t in range(d) if t not in pivots)
-    normal = [Fraction(0)] * d
-    normal[free] = Fraction(1)
-    for v, piv in reversed(list(zip(seen, pivots))):
-        s = sum(v[t] * normal[t] for t in range(d) if t != piv)
-        normal[piv] = -s / v[piv]
-    return normal
+def _hull_rays(coords: list[tuple], frame: list[int]) -> list[list[int]]:
+    """Facets (beta, a) of conv(coords), as beta - a.x >= 0 with integer entries.
 
-
-def enumerate_facets(S: Sequence[Sequence]) -> list[Facet]:
-    """All facets of conv(S), exact, in ambient coordinates.
-
-    Exhaustive over d-subsets of points spanning hyperplanes of the affine
-    hull; refuses inputs beyond the configured caps.
+    Double description: these are the extreme rays of the pointed cone
+    {(beta, a) : h_i.(beta, a) >= 0} with h_i = D (1, -x_i), D the common
+    denominator of the coordinates.  The cone of the frame points is
+    simplicial; every other point then cuts the current cone, and each new
+    ray comes from a pair of adjacent rays on opposite sides of its
+    hyperplane.  Tight sets are bitmasks over point indices.
     """
-    pts = _exact_points(S)
+    d = len(coords[0])
+    denom = lcm(*(c.denominator for x in coords for c in x))
+    rows = [[denom] + [-int(c * denom) for c in x] for x in coords]
+    start = _inverse_columns([[rows[i][t] for i in frame] for t in range(d + 1)])
+    spanned = sum(1 << i for i in frame)
+    rays = [
+        (_primitive(start[k]), spanned & ~(1 << i)) for k, i in enumerate(frame)
+    ]
+    framed = set(frame)
+    for i, h in enumerate(rows):
+        if i in framed:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = sum(a * b for a, b in zip(h, r))
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < d - 1:
+                    continue
+                # adjacent iff no third ray is tight on the whole common set;
+                # distinct extreme rays have distinct tight sets
+                if any((z & common) == common and z != zp and z != zn for _, z in rays):
+                    continue
+                ray = _primitive([sp * b - sn * a for a, b in zip(rp, rn)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return [r for r, _ in rays]
+
+
+def _lift_facet(ray: list[int], origin: tuple, lift: list[list[Fraction]]) -> Facet:
+    """Ambient halfspace inducing the frame halfspace beta - a.x >= 0 on the affine hull."""
+    beta, *a = ray
+    normal = [sum(m * c for m, c in zip(row, a)) for row in lift]
+    offset = beta + sum(n * o for n, o in zip(normal, origin))
+    # primitive integer scaling preserves orientation (positive multiplier)
+    ints = _primitive(normal + [offset])
+    return Facet(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
+
+
+def _facets(pts: list[tuple]) -> tuple[list[Facet], int]:
+    """Sorted facets of conv(pts) in ambient coordinates, and the hull dimension."""
     if len(pts) > MAX_POINTS:
         raise CapExceededError(f"{len(pts)} points exceeds cap {MAX_POINTS}")
-    origin, basis, coords = _affine_frame(pts)
+    origin, basis, coords, frame = _affine_frame(pts)
     d = len(basis)
     if d == 0:
         raise ValueError("point set is a single point; no facets")
     if d > MAX_HULL_DIM:
         raise CapExceededError(f"hull dimension {d} exceeds cap {MAX_HULL_DIM}")
-    found: dict[tuple, tuple] = {}
-    for combo in itertools.combinations(range(len(pts)), d):
-        sub = [coords[i] for i in combo]
-        normal = _hyperplane_normal(sub, d) if d > 1 else [Fraction(1)]
-        if normal is None:
-            continue
-        offset = sum(n * c for n, c in zip(normal, sub[0]))
-        vals = [offset - sum(n * c for n, c in zip(normal, q)) for q in coords]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            normal = [-n for n in normal]
-            offset = -offset
-        else:
-            continue
-        key_ints = _primitive(normal + [offset])
-        key = tuple(key_ints)
-        if key not in found:
-            found[key] = (list(normal), offset)
-    facets = []
-    for normal_frame, offset_frame in found.values():
-        facets.append(_lift_facet(normal_frame, offset_frame, origin, basis))
-    facets.sort(key=lambda f: (f.normal, f.offset))
-    return facets
-
-
-def _lift_facet(
-    normal_frame: list[Fraction],
-    offset_frame: Fraction,
-    origin: tuple,
-    basis: list[list[Fraction]],
-) -> Facet:
-    """Ambient halfspace inducing the frame halfspace on the affine hull."""
-    d = len(basis)
-    nvars = len(origin)
-    gram = [[sum(basis[i][t] * basis[j][t] for t in range(nvars)) for j in range(d)] for i in range(d)]
-    w = _solve_linear_system(gram, normal_frame)
-    ambient_normal = [
-        sum(w[i] * basis[i][t] for i in range(d)) for t in range(nvars)
+    # the ambient normal inducing frame normal a is the one in the span of the
+    # basis, basis^T G^{-1} a with G the basis Gram matrix: one lift for all
+    gram = [[sum(u * v for u, v in zip(bi, bj)) for bj in basis] for bi in basis]
+    ginv = _inverse_columns(gram)
+    lift = [
+        [sum(b[t] * g for b, g in zip(basis, col)) for col in ginv]
+        for t in range(len(origin))
     ]
-    ambient_offset = offset_frame + sum(
-        ambient_normal[t] * origin[t] for t in range(nvars)
-    )
-    # primitive integer scaling preserves orientation (positive multiplier)
-    ints = _primitive(ambient_normal + [ambient_offset])
-    return Facet(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
+    facets = [_lift_facet(ray, origin, lift) for ray in _hull_rays(coords, frame)]
+    facets.sort(key=lambda f: (f.normal, f.offset))
+    return facets, d
 
 
-def _solve_linear_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(a)
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def enumerate_facets(S: Sequence[Sequence]) -> list[Facet]:
+    """All facets of conv(S), exact, in ambient coordinates.
+
+    Found by the double-description method in the affine hull; refuses
+    inputs beyond the configured caps.
+    """
+    return _facets(_exact_points(S))[0]
 
 
 def level_report(S: Sequence[Sequence]) -> LevelReport:
     """Distinct-value counts of every facet functional over the point set."""
     pts = _exact_points(S)
-    _, basis, _ = _affine_frame(pts)
-    facets = enumerate_facets(pts)
+    facets, hull_dim = _facets(pts)
     levels = []
     values = []
     for f in facets:
@@ -262,7 +206,7 @@ def level_report(S: Sequence[Sequence]) -> LevelReport:
         overall_level=overall,
         is_2_level=overall <= 2,
         th_k_bound=overall - 1,
-        hull_dim=len(basis),
+        hull_dim=hull_dim,
     )
 
 

@@ -233,6 +233,17 @@ class TestExactness:
         assert report["hull_dim"] == 4  # (n-1)^2 for the full symmetric group
         assert report["is_2_level"] is True
 
+    def test_birkhoff_polytope(self, tmp_path):
+        gens = [[2, 1, 3, 4], [2, 3, 4, 1]]
+        f = write_json(tmp_path / "s4.json", {"kind": "permutation", "n": 4, "generators": gens})
+        out = tmp_path / "s4_report.json"
+        assert main(["exactness", f, "--json", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["num_points"] == 24
+        assert report["hull_dim"] == 9
+        assert len(report["facets"]) == 16
+        assert report["is_2_level"] is True
+
     def test_curve_not_supported(self, cardioid_file):
         assert main(["exactness", cardioid_file]) == EXIT_INPUT
 

@@ -1,16 +1,137 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from thetabody.exactness import enumerate_facets, level_report, th1_exact_finite
+from thetabody.exactness import (
+    MAX_HULL_DIM,
+    MAX_POINTS,
+    enumerate_facets,
+    level_report,
+    th1_exact_finite,
+)
 from thetabody.quotient import CapExceededError, basis_points, permutation_points
 from thetabody.thetaops import maximize_linear, theta_problem
 
 CUBE = list(itertools.product([0, 1], repeat=3))
 SIMPLEX = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 CROSS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+B4 = permutation_points(4, [[2, 1, 3, 4], [2, 3, 4, 1]])
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def reference_facets(S) -> list[tuple]:
+    """(normal, offset) of every facet, by exhaustive search over d-subsets.
+
+    Every d affinely independent points span a hyperplane of the affine hull,
+    a facet when all points lie on one side.  Works in the integer coordinates
+    y = B(p - p0), B a basis of the difference span: the hyperplane normal nu
+    is a generalized cross product, and B^T nu is the ambient normal in the
+    span of B.  Normals are made primitive over (normal, offset) and sorted.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in S]
+    if len(pts) > MAX_POINTS:
+        raise CapExceededError("points")
+    denom = math.lcm(*(c.denominator for p in pts for c in p))
+    diffs = [[int((a - b) * denom) for a, b in zip(p, pts[0])] for p in pts]
+    basis: list[list[int]] = []
+    for v in diffs:
+        for b in basis:
+            piv = next(t for t, x in enumerate(b) if x)
+            v = [x * b[piv] - y * v[piv] for x, y in zip(v, b)]
+        if any(v):
+            basis.append(v)
+    d = len(basis)
+    if d == 0:
+        raise ValueError("single point")
+    if d > MAX_HULL_DIM:
+        raise CapExceededError("dimension")
+    y = [[sum(a * b for a, b in zip(row, v)) for row in basis] for v in diffs]
+    found = set()
+    for combo in itertools.combinations(range(len(pts)), d):
+        y0 = y[combo[0]]
+        rows = [[a - b for a, b in zip(y[i], y0)] for i in combo[1:]]
+        nu = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)]
+        if not any(nu):
+            continue
+        side = [sum(n * (a - b) for n, a, b in zip(nu, yp, y0)) for yp in y]
+        if all(v >= 0 for v in side):
+            nu = [-n for n in nu]
+        elif any(v > 0 for v in side):
+            continue
+        normal = [sum(n * row[t] for n, row in zip(nu, basis)) for t in range(len(pts[0]))]
+        vals = normal + [sum(n * c for n, c in zip(normal, pts[combo[0]]))]
+        den = math.lcm(*(Fraction(v).denominator for v in vals))
+        ints = [int(v * den) for v in vals]
+        g = math.gcd(*ints)
+        found.add(tuple(x // g for x in ints))
+    return [(tuple(Fraction(x) for x in k[:-1]), Fraction(k[-1])) for k in sorted(found)]
+
+
+def _embed(rng: random.Random, pts: list[tuple]) -> list[tuple]:
+    """Image of pts under a random integer affine map into a larger space."""
+    dim = len(pts[0])
+    amb = dim + rng.randint(0, 3)
+    a = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(amb)]
+    b = [rng.randint(-3, 3) for _ in range(amb)]
+    return [tuple(sum(r[j] * p[j] for j in range(dim)) + c for r, c in zip(a, b)) for p in pts]
+
+
+def _random_sets() -> list[list[tuple]]:
+    rng = random.Random(20261018)
+    grid = sorted({Fraction(a, b) for a in range(-2, 3) for b in (1, 2)})
+    cube4 = list(itertools.product([0, 1], repeat=4))
+    cross4 = [tuple(s * (j == i) for j in range(4)) for i in range(4) for s in (1, -1)]
+    # many points on few hyperplanes; the 5-dimensional pools are where the
+    # adjacency test decides between pairs sharing d - 1 tight points
+    pools = [
+        cube4,
+        cube4 + cross4,
+        CUBE + [(Fraction(1, 2), 1, 0), (0, Fraction(1, 2), 1)],
+        list(itertools.product([0, 1], repeat=5)),
+        [p for p in itertools.product([0, 1], repeat=6) if sum(p) == 3],
+    ]
+    sets = []
+    for k in range(200):
+        if k % 2:
+            pool = rng.choice(pools)
+            pts = rng.sample(pool, rng.randint(2, min(12, len(pool))))
+        else:
+            dim, n = rng.randint(1, 5), rng.randint(1, 14)
+            pts = list({tuple(rng.choice(grid) for _ in range(dim)) for _ in range(n)})
+        if rng.random() < 0.5:
+            pts = _embed(rng, pts)
+        pts = list(dict.fromkeys(pts))
+        rng.shuffle(pts)
+        sets.append(pts)
+    simplex10 = [tuple(int(j == i) for j in range(10)) for i in range(10)] + [(0,) * 10]
+    return sets + [simplex10, [(i, i * i) for i in range(65)]]
+
+
+def _outcome(fn, pts):
+    try:
+        return fn(pts)
+    except (ValueError, CapExceededError) as exc:
+        return type(exc)
 
 
 class TestEnumerateFacets:
@@ -51,10 +172,24 @@ class TestEnumerateFacets:
             enumerate_facets(too_many)
 
     def test_dimension_cap(self):
-        simplex8 = [tuple(1 if j == i else 0 for j in range(7)) for i in range(7)]
-        simplex8.append((0,) * 7)
+        simplex10 = [tuple(1 if j == i else 0 for j in range(10)) for i in range(10)]
+        simplex10.append((0,) * 10)
         with pytest.raises(CapExceededError):
-            enumerate_facets(simplex8)
+            enumerate_facets(simplex10)
+
+    def test_birkhoff_polytope(self):
+        # B4: the 16 facets are x_ij >= 0, each tight where x_ij = 0
+        tight = {frozenset(p for p in B4 if f.value(p) == 0) for f in enumerate_facets(B4)}
+        assert tight == {frozenset(p for p in B4 if p[k] == 0) for k in range(16)}
+        assert level_report(B4).hull_dim == 9
+
+    def test_matches_subset_search(self):
+        for pts in _random_sets():
+            want = _outcome(reference_facets, pts)
+            got = _outcome(enumerate_facets, pts)
+            if isinstance(want, list):
+                got = [(f.normal, f.offset) for f in got]
+            assert got == want, pts
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
@@ -141,3 +276,8 @@ class TestCrossValidation:
         rng = random.Random(20240811)
         objectives = [[rng.random() for _ in range(5)] for _ in range(25)]
         self.check(pentagon_vertices, objectives, False)
+
+    def test_birkhoff_polytope(self):
+        rng = random.Random(44)
+        objectives = [[rng.uniform(-1, 1) for _ in range(16)] for _ in range(25)]
+        self.check(B4, objectives, True)
