@@ -27,25 +27,18 @@ class MomentVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.values and self.values[0] == 1
-
 
 @dataclass
 class MomentTemplate:
     """Symmetric matrix of sparse linear forms in the moment coordinates.
 
     entries maps (i, j) with i <= j to {coordinate index: rational coefficient};
-    missing pairs are identically zero.  coord_forms[i] expresses variable
-    x_{i+1} over the coordinates (a single unit entry unless the underlying
-    point set is affinely degenerate).
+    missing pairs are identically zero.
     """
 
     dim: int
     nvars_y: int
     entries: dict[tuple[int, int], Coords]
-    coord_forms: list[Coords]
     basis_labels: list[str] = field(default_factory=list)
     # degrees of the row basis prefix and of every coordinate's basis element;
     # the solver uses them to rescale unbounded-certificate subproblems
@@ -102,7 +95,6 @@ class MomentTemplate:
             dim=self.dim,
             nvars_y=new_nvars_y,
             entries=new_entries,
-            coord_forms=[],
             basis_labels=list(self.basis_labels),
             row_degrees=self.row_degrees,
             coord_degrees=new_coord_degrees,
@@ -144,12 +136,9 @@ def build_moment_template(oracle: QuotientOracle, k: int) -> MomentTemplate:
             if form:
                 entries[(i, j)] = form
     labels = [str(m) for m in oracle.basis.elements[:nvars_y]]
-    coord_forms = [oracle.coord_form(i) for i in range(oracle.nvars)]
     row_degrees = [m.degree for m in oracle.basis.elements[:dim]]
     coord_degrees = [m.degree for m in oracle.basis.elements[:nvars_y]]
-    return MomentTemplate(
-        dim, nvars_y, entries, coord_forms, labels, row_degrees, coord_degrees
-    )
+    return MomentTemplate(dim, nvars_y, entries, labels, row_degrees, coord_degrees)
 
 
 def point_to_moment_vector(oracle: QuotientOracle, k: int, point: Sequence) -> MomentVector:

@@ -414,9 +414,6 @@ class StableSetOracle(QuotientOracle):
         }
         return Polynomial(terms, self.nvars)
 
-    def reducers(self) -> ReducerSet:
-        return stable_set_reducers(self.graph)
-
 
 def stable_set_reducers(graph: Graph) -> ReducerSet:
     """Confluent reducers x_i^2 - x_i and x_i x_j over edges."""

@@ -8,22 +8,20 @@ Pinned coordinates are substituted into the map before solving.
 The algorithm is infeasible-start path following with Nesterov-Todd scaling;
 a Mehrotra-style affine predictor step fixes the adaptive centering weight of
 the actual step.  The Schur complement H_kl = <F_k, W^-1 F_l W^-1> is formed
-densely in float64 with batched BLAS products and factored by LAPACK Cholesky
-with a small diagonal regularization.  Its condition number grows like the
-square of the centrality parameter's inverse, and a direction computed wholly
-in float64 leaves the dual residual stalled above the tolerance (near 2e-8 on
-the level-1 7-cycle stable-set bound, which ends NumericalTrouble).  So the
-right-hand sides and the primal and dual directions are accumulated in
-extended precision (numpy longdouble), and each Schur solve gets exactly one
-sweep of mixed-precision iterative refinement: the residual of the
-regularized system is evaluated in extended precision by applying the
-operator to the float64 solution without forming H, and the correction
-reuses the factor.  A moment matrix is built modulo the ideal, so each F_l
-has only a few nonzeros; the extended-precision products with the F_l run
-over those nonzeros in the order numpy's dense (BLAS-free) longdouble matmul
-adds them, which gives the dense product bit for bit at O(nnz) instead of
-O(m d^2).  The step lengths reuse the iteration's Cholesky factors of S and Z.
-At convergence checks the dual iterate is additionally projected onto the
+densely in float64 with batched BLAS products, factored by LAPACK Cholesky
+with a small diagonal regularization, and each direction takes one float64
+solve with that factor.  Around the solve, the right-hand side and the primal
+and dual directions dS and dZ are accumulated in extended precision (numpy
+longdouble): with dS and dZ in float64, 17 tier-1 tests fail, nearly all on
+a NumericalTrouble verdict where a decided one is expected, and with the
+right-hand side in float64, 2 do.  A sweep of iterative refinement of the
+Schur solve gained no verdict and cost 10-20 % of the solve time, so there
+is none.  A moment matrix is built modulo the ideal, so each F_l has only a
+few nonzeros; the extended-precision products with the F_l run over those
+nonzeros in the order numpy's dense (BLAS-free) longdouble matmul adds them,
+which gives the dense product bit for bit at O(nnz) instead of O(m d^2).
+The step lengths reuse the iteration's Cholesky factors of S and Z.  At
+convergence checks the dual iterate is additionally projected onto the
 exact dual-feasibility subspace, which is a fixed well-conditioned system.
 Everything is deterministic: identical inputs produce identical iterates.
 
@@ -71,6 +69,11 @@ _PROBE_SHRINK = 0.25
 # the cap-slice certificate: a slice point whose smallest eigenvalue is at
 # least this fraction of the slice data's scale
 _SLICE_MARGIN = 1e-7
+# fraction of the largest feasible step taken
+_STEP_FRAC = 0.98
+# diagonal regularization of the Schur complement's Cholesky factorization,
+# relative to its mean diagonal
+_SCHUR_REG = 1e-12
 
 
 class SdpStatus(enum.Enum):
@@ -86,8 +89,6 @@ class SdpOptions:
     feas_tol: float = 1e-9
     max_iter: int = 200
     unbounded_cap: float = 1e8
-    step_frac: float = 0.98
-    schur_reg: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,7 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
         G = Winv @ Fs @ Winv
         H = Fflat @ G.reshape(m, d * d).T
         H = (H + H.T) / 2
-        reg = opts.schur_reg * max(1.0, np.trace(H) / m)
+        reg = _SCHUR_REG * max(1.0, np.trace(H) / m)
         cho = None
         for bump in range(6):
             shift = reg * 10.0**bump
@@ -452,27 +453,15 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
         if cho is None:
             break
 
-        def schur_solve(r):
-            return np.linalg.solve(cho.T, np.linalg.solve(cho, r))
-
         def directions(Rc_ld):
             rhs_mat = Winv_ld @ (Rc_ld - Rp_ld) @ Winv_ld
             rhs = F_ld.matvec(rhs_mat.reshape(d * d)) - rd_ld
-            dy = schur_solve(rhs.astype(np.float64)).astype(_LD)
-            # one refinement sweep against the shifted Schur operator,
-            # applied in extended precision without forming it
-            dM = Winv_ld @ F_ld.rmatvec(dy).reshape(d, d) @ Winv_ld
-            resid = rhs - F_ld.matvec(dM.reshape(d * d)) - _LD(shift) * dy
-            dy = dy + schur_solve(resid.astype(np.float64))
+            dy = np.linalg.solve(cho.T, np.linalg.solve(cho, rhs.astype(np.float64)))
             dS = F_ld.rmatvec(dy).reshape(d, d) + Rp_ld
             dZ = Winv_ld @ (Rc_ld - dS) @ Winv_ld
             dS = (dS + dS.T) / 2
             dZ = (dZ + dZ.T) / 2
-            return (
-                dy.astype(np.float64),
-                dS.astype(np.float64),
-                dZ.astype(np.float64),
-            )
+            return dy, dS.astype(np.float64), dZ.astype(np.float64)
 
         S_ld = S.astype(_LD)
         mu = max(gap / d, 1e-300)
@@ -484,13 +473,13 @@ def _solve_core(F0, Fs, b, opts: SdpOptions, probe=None, witness=None) -> _CoreR
             else:
                 # predictor step fixes the centering weight for the real step
                 dy_a, dS_a, dZ_a = directions(-S_ld)
-                ap = min(1.0, opts.step_frac * _max_step(Ls_inv, dS_a))
-                ad = min(1.0, opts.step_frac * _max_step(Lz_inv, dZ_a))
+                ap = min(1.0, _STEP_FRAC * _max_step(Ls_inv, dS_a))
+                ad = min(1.0, _STEP_FRAC * _max_step(Lz_inv, dZ_a))
                 mu_aff = float(np.vdot(S + ap * dS_a, Z + ad * dZ_a)) / d
                 sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
                 dy, dS, dZ = directions(_LD(sigma * mu) * Zinv - S_ld)
-            ap = min(1.0, opts.step_frac * _max_step(Ls_inv, dS))
-            ad = min(1.0, opts.step_frac * _max_step(Lz_inv, dZ))
+            ap = min(1.0, _STEP_FRAC * _max_step(Ls_inv, dS))
+            ad = min(1.0, _STEP_FRAC * _max_step(Lz_inv, dZ))
         except np.linalg.LinAlgError:
             break
         stop = "max_iter"

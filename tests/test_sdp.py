@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from thetabody.moment import MomentTemplate, barycenter_vector, build_moment_template
-from thetabody.quotient import basis_cut_ideal, basis_points, basis_stable_set, cycle_graph
+from thetabody.quotient import (
+    Graph,
+    basis_cut_ideal,
+    basis_points,
+    basis_stable_set,
+    cut_vectors,
+    cycle_graph,
+)
 from thetabody.sdp import (
     PhaseRecord,
     SdpOptions,
@@ -25,7 +32,7 @@ def simple_template(entries, nvars_y, dim):
     conv = {
         key: {l: Fraction(c) for l, c in f.items()} for key, f in entries.items()
     }
-    return MomentTemplate(dim=dim, nvars_y=nvars_y, entries=conv, coord_forms=[])
+    return MomentTemplate(dim=dim, nvars_y=nvars_y, entries=conv)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +60,6 @@ class TestSmallProblems:
             dim=2,
             nvars_y=3,
             entries={(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}, (1, 1): {2: Fraction(1)}},
-            coord_forms=[],
             row_degrees=[0, 1],
             coord_degrees=[0, 1, 2],
         )
@@ -241,6 +247,23 @@ class TestLargestGraphSize:
         sol = solve(prob)
         assert sol.status == SdpStatus.OPTIMAL
         assert abs(sol.value - 4.0) <= 1e-6
+        assert sol.primal_residual <= 1e-8
+        assert sol.dual_residual <= 1e-8
+        assert abs(sol.gap) <= 1e-8
+        assert solve(prob).iterates == sol.iterates
+
+    def test_chorded_eight_cycle_maxcut_level2(self):
+        # d = 53, m = 127: the largest Schur complement in these tests
+        g = Graph.from_edges(8, list(cycle_graph(8).edges) + [(1, 5), (2, 6)])
+        t = build_moment_template(basis_cut_ideal(g, 2), 2)
+        assert (t.dim, t.nvars_y - 1) == (53, 127)
+        nedges = len(g.edges)
+        prob = SdpProblem(t, {i: 1.0 for i in range(1, nedges + 1)}, {0: 1.0}, sense="min")
+        sol = solve(prob)
+        assert sol.status == SdpStatus.OPTIMAL
+        max_cut = max((nedges - sum(v)) // 2 for v in cut_vectors(g))
+        assert max_cut == 8
+        assert abs((nedges - sol.value) / 2 - max_cut) <= 1e-6
         assert sol.primal_residual <= 1e-8
         assert sol.dual_residual <= 1e-8
         assert abs(sol.gap) <= 1e-8
